@@ -27,7 +27,7 @@ func (p *UnionPlan) CostInputs(nShards int) cost.Inputs {
 	// wins: a single-extension union with no bonus answers, partitioned on
 	// a head variable, keeps the merge dedup-free. Candidates are sorted
 	// head-first, so the scan stops at the first existential one.
-	if nShards > 1 && len(p.plans) == 1 && len(p.bonus) == 0 {
+	if nShards > 1 && len(p.plans) == 1 && p.bonus.Len() == 0 {
 		e := p.Cert.Extensions[0]
 		extInst := p.resolved[e]
 		for i, cand := range shard.Candidates(e.Query(), extInst) {

@@ -32,8 +32,9 @@ type UnionPlan struct {
 	Cert *Certificate
 
 	// bonus holds the provider answers produced while instantiating
-	// virtual relations; they are answers of the union.
-	bonus []database.Tuple
+	// virtual relations, one flat row per answer; they are answers of the
+	// union.
+	bonus *database.Relation
 	plans []*yannakakis.Plan
 	// m is the duplication bound handed to the Cheater combinator.
 	m int
@@ -41,6 +42,11 @@ type UnionPlan struct {
 	resolved map[*ExtendedCQ]*database.Instance
 	inst     *database.Instance
 	stats    UnionStats
+	// atoms shares atom bindings across the member and provider plans
+	// during preparation, and prepared memoises the plans themselves; both
+	// are dropped once the plan is built.
+	atoms    *yannakakis.BoundAtoms
+	prepared map[string]*yannakakis.Plan
 
 	// estimate caches the summed branch cardinality (-1 until computed),
 	// used to pre-size the parallel merge's dedup set. It is the only
@@ -102,6 +108,9 @@ func NewUnionPlanCtx(ctx context.Context, u *cq.UCQ, cert *Certificate, inst *da
 		Cert:     cert,
 		resolved: make(map[*ExtendedCQ]*database.Instance),
 		inst:     inst,
+		bonus:    database.NewRelation("bonus", u.Arity()),
+		atoms:    yannakakis.NewBoundAtoms(),
+		prepared: make(map[string]*yannakakis.Plan),
 	}
 	p.estimate.Store(-1)
 	for _, e := range cert.Extensions {
@@ -112,12 +121,13 @@ func NewUnionPlanCtx(ctx context.Context, u *cq.UCQ, cert *Certificate, inst *da
 		if err != nil {
 			return nil, err
 		}
-		plan, err := yannakakis.Prepare(e.Query(), extInst, nil)
+		plan, err := p.prepare(e.Query(), extInst, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing %s: %w", e.Base.Name, err)
 		}
 		p.plans = append(p.plans, plan)
 	}
+	p.atoms, p.prepared = nil, nil
 	p.m = len(p.plans) + p.stats.ProviderRuns + 1
 	return p, nil
 }
@@ -135,11 +145,36 @@ func (p *UnionPlan) resolve(e *ExtendedCQ) (*database.Instance, error) {
 			return nil, err
 		}
 		rel.Dedup()
+		p.atoms.AddDistinct(rel)
 		p.stats.VirtualTuples += rel.Len()
 		inst.AddRelation(rel)
 	}
 	p.resolved[e] = inst
 	return inst, nil
+}
+
+// prepare returns the CDY plan of q with enumeration set s (nil for
+// free(q)) over inst. A plan is prepared once per (query, S, relations)
+// within one bind: a provider run whose S is free(Q) prepares exactly the
+// plan its own member needs, and plans are read-only once prepared.
+func (p *UnionPlan) prepare(q *cq.CQ, inst *database.Instance, s cq.VarSet) (*yannakakis.Plan, error) {
+	if s == nil {
+		s = q.Free()
+	}
+	var key strings.Builder
+	fmt.Fprintf(&key, "%s|%v", q, s.Sorted())
+	for _, a := range q.Atoms {
+		fmt.Fprintf(&key, "|%p", inst.Relation(a.Rel))
+	}
+	if plan, ok := p.prepared[key.String()]; ok {
+		return plan, nil
+	}
+	plan, err := yannakakis.PrepareBound(q, inst, s, p.atoms)
+	if err != nil {
+		return nil, err
+	}
+	p.prepared[key.String()] = plan
+	return plan, nil
 }
 
 // runProvider executes one Lemma 8 provider enumeration: it prepares the
@@ -153,7 +188,7 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 		return nil, err
 	}
 	pq := prov.Provider.Query()
-	plan, err := yannakakis.Prepare(pq, provInst, prov.S)
+	plan, err := p.prepare(pq, provInst, prov.S)
 	if err != nil {
 		return nil, fmt.Errorf("core: preparing provider %s: %w", pq.Name, err)
 	}
@@ -174,17 +209,22 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 		}
 	}
 
+	// The counting pass gives the exact number of provider answers, so the
+	// bonus slab and the virtual relation are sized once.
+	answers := plan.CountAnswers()
+	p.bonus.Grow(int(answers))
 	rel := database.NewRelation(va.Atom.Rel, len(va.Atom.Vars))
+	rel.Grow(int(answers))
 	row := make(database.Tuple, len(va.Atom.Vars))
+	head := make(database.Tuple, len(pq.Head))
 	it := plan.Iterator()
 	for it.Next() {
 		it.Extend()
 		// The extension is a full answer of the provider CQ: emit it.
-		head := make(database.Tuple, len(pq.Head))
 		for i, v := range pq.Head {
 			head[i] = it.Value(v)
 		}
-		p.bonus = append(p.bonus, head)
+		p.bonus.Append(head...)
 		p.stats.BonusAnswers++
 		// Translate: all preimages of a provided variable must agree.
 		ok := true
@@ -246,7 +286,7 @@ func (p *UnionPlan) DeltaIterator(names map[string]struct{}) enumeration.Iterato
 		return p.Iterator()
 	}
 	its := make([]enumeration.Iterator, 0, len(p.plans)+1)
-	its = append(its, enumeration.NewSliceIterator(p.bonus))
+	its = append(its, enumeration.NewRelationIterator(p.bonus))
 	for i, plan := range p.plans {
 		if p.Cert.Extensions[i].TouchesRelations(names) {
 			its = append(its, &headIterator{it: plan.Iterator()})
@@ -325,7 +365,7 @@ func (p *UnionPlan) IteratorParallelCtx(ctx context.Context, opts ExecOptions) *
 func (p *UnionPlan) AnswerEstimate() int64 {
 	est := p.estimate.Load()
 	if est < 0 {
-		est = int64(len(p.bonus))
+		est = int64(p.bonus.Len())
 		for _, pl := range p.plans {
 			est += pl.CountAnswers()
 		}
@@ -342,7 +382,7 @@ func (p *UnionPlan) AnswerEstimate() int64 {
 // cross-branch duplicates then make counting require deduplication, i.e.
 // enumeration.
 func (p *UnionPlan) ExactCount() (int64, bool) {
-	if len(p.plans) == 1 && len(p.bonus) == 0 {
+	if len(p.plans) == 1 && p.bonus.Len() == 0 {
 		return p.plans[0].CountAnswers(), true
 	}
 	return 0, false
@@ -359,13 +399,7 @@ func (p *UnionPlan) ContainsAnswer(t database.Tuple) bool {
 	if len(t) != p.U.Arity() {
 		return false
 	}
-	p.bonusOnce.Do(func() {
-		s := database.NewTupleSet(len(p.bonus))
-		for _, b := range p.bonus {
-			s.Insert(b)
-		}
-		p.bonusSet = s
-	})
+	p.bonusOnce.Do(func() { p.bonusSet = p.bonus.RowSet() })
 	if p.bonusSet.Contains(t) {
 		return true
 	}
@@ -390,7 +424,7 @@ func (p *UnionPlan) sizeHint() int {
 // during preprocessing, then one head stream per extended CQ.
 func (p *UnionPlan) branches() []enumeration.Iterator {
 	its := make([]enumeration.Iterator, 0, len(p.plans)+1)
-	its = append(its, enumeration.NewSliceIterator(p.bonus))
+	its = append(its, enumeration.NewRelationIterator(p.bonus))
 	for _, plan := range p.plans {
 		its = append(its, &headIterator{it: plan.Iterator()})
 	}

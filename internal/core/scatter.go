@@ -22,7 +22,7 @@ import "repro/internal/yannakakis"
 // deterministic for a fixed (query, instance) preparation, so two nodes
 // that bound the same query against identical replicas agree on them.
 func (p *UnionPlan) RootLen() (int, bool) {
-	if len(p.plans) == 1 && len(p.bonus) == 0 {
+	if len(p.plans) == 1 && p.bonus.Len() == 0 {
 		return p.plans[0].RootLen(), true
 	}
 	return 0, false

@@ -41,8 +41,8 @@ func (p *UnionPlan) PrepareShards(n int) error {
 	}
 	plans := make([][]*yannakakis.Plan, len(p.plans))
 	vars := make([]cq.Variable, len(p.plans))
-	disjoint := len(p.plans) == 1 && len(p.bonus) == 0
-	est := int64(len(p.bonus))
+	disjoint := len(p.plans) == 1 && p.bonus.Len() == 0
+	est := int64(p.bonus.Len())
 	for i, e := range p.Cert.Extensions {
 		eq := e.Query()
 		sh, cand, ok := shard.ChooseAndPartition(eq, p.resolved[e], n)

@@ -69,13 +69,13 @@ func (p *UnionPlan) execTasks(workers int) ([]exec.Task, bool) {
 		parts = 1
 	}
 	var tasks []exec.Task
-	if len(p.bonus) > 0 {
-		tasks = append(tasks, enumeration.TaskOf(enumeration.NewSliceIterator(p.bonus)))
+	if p.bonus.Len() > 0 {
+		tasks = append(tasks, enumeration.TaskOf(enumeration.NewRelationIterator(p.bonus)))
 	}
 	for _, pl := range p.plans {
 		tasks = append(tasks, planTasks(pl, parts)...)
 	}
-	return tasks, len(p.plans) == 1 && len(p.bonus) == 0
+	return tasks, len(p.plans) == 1 && p.bonus.Len() == 0
 }
 
 // shardedExecTasks builds the work units of the sharded enumeration: per
@@ -87,8 +87,8 @@ func (p *UnionPlan) shardedExecTasks(workers int) []exec.Task {
 		parts = 1
 	}
 	var tasks []exec.Task
-	if len(p.bonus) > 0 {
-		tasks = append(tasks, enumeration.TaskOf(enumeration.NewSliceIterator(p.bonus)))
+	if p.bonus.Len() > 0 {
+		tasks = append(tasks, enumeration.TaskOf(enumeration.NewRelationIterator(p.bonus)))
 	}
 	for i, pl := range p.plans {
 		sp := p.shardPlans[i]

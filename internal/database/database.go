@@ -10,6 +10,27 @@
 // paper's "concatenate the variable name to the value" trick (proof of
 // Lemma 14 and the encodings in Examples 18, 31 and 39): a constant (c, v)
 // for variable v is a payload c tagged with v's index.
+//
+// # Memory layout
+//
+// Preprocessing allocates per operator, never per tuple:
+//
+//   - A Relation is one flat row-major []Value. Project, Semijoin, Filter
+//     and Dedup hand back exact-sized storage, so a relation kept by a
+//     bound plan carries no growth slack.
+//   - A TupleSet (dedup set and index key dictionary) stores its tuples back
+//     to back in one arena; while all entries share a width w, entry e is
+//     arena[e*w:(e+1)*w] and no offsets array exists. Its open-addressed
+//     slot table holds one uint64 per slot: the high 32 bits of the tuple's
+//     hash above entry+1 (0 marks an empty slot). A probe compares the tag
+//     first and reads the arena only on a tag match, so a miss costs one
+//     cache line of the slot table. The full hashes are kept beside the
+//     arena for rehashing and spill migration.
+//   - An Index is in CSR form: a TupleSet interns the distinct keys, and the
+//     rows of key entry e are rows[offs[e]:offs[e+1]] in ascending row
+//     order — two int32 arrays for the whole index instead of one slice per
+//     key. BuildIndex fills them with a counting pass over per-row entry
+//     numbers.
 package database
 
 import (
@@ -187,12 +208,14 @@ func (r *Relation) AppendInts(vals ...int64) {
 	}
 }
 
-// Row returns a view of row i. The view is valid until the next Append.
+// Row returns a view of row i, capped at the row's end. The view is valid
+// until the next Append.
 func (r *Relation) Row(i int) Tuple {
 	if r.arity == 0 {
 		return Tuple{}
 	}
-	return Tuple(r.data[i*r.arity : (i+1)*r.arity])
+	lo, hi := i*r.arity, (i+1)*r.arity
+	return Tuple(r.data[lo:hi:hi])
 }
 
 // Rows returns owned copies of all rows, for tests and small outputs.
@@ -211,7 +234,8 @@ func (r *Relation) SortedRows() []Tuple {
 	return out
 }
 
-// Dedup removes duplicate rows in place (stable on first occurrence).
+// Dedup removes duplicate rows in place (stable on first occurrence). A
+// relation that shrinks is copied to its exact size.
 func (r *Relation) Dedup() {
 	if r.arity == 0 {
 		if r.nullaryLen > 1 {
@@ -220,7 +244,7 @@ func (r *Relation) Dedup() {
 		return
 	}
 	n := r.Len()
-	seen := NewTupleSet(n)
+	seen := NewTupleSetSized(n, len(r.data))
 	out := r.data[:0]
 	for i := 0; i < n; i++ {
 		row := r.Row(i)
@@ -228,19 +252,61 @@ func (r *Relation) Dedup() {
 			out = append(out, row...)
 		}
 	}
-	r.data = out
+	r.data = exactValues(out)
+}
+
+// RowSet returns a TupleSet holding the relation's distinct rows, with no
+// spare capacity: the membership structure a plan keeps beside a relation.
+func (r *Relation) RowSet() *TupleSet {
+	n := r.Len()
+	set := NewTupleSetSized(n, len(r.data))
+	for i := 0; i < n; i++ {
+		set.Insert(r.Row(i))
+	}
+	set.Trim()
+	return set
+}
+
+// Grow reserves room for rows more rows, so that many Appends allocate
+// nothing. The capacity is exact: a relation filled to the reserved size
+// holds no spare capacity.
+func (r *Relation) Grow(rows int) {
+	if rows <= 0 || r.arity == 0 {
+		return
+	}
+	if need := len(r.data) + rows*r.arity; need > cap(r.data) {
+		data := make([]Value, len(r.data), need)
+		copy(data, r.data)
+		r.data = data
+	}
+}
+
+// exactValues returns vals itself when it has no spare capacity, else an
+// exact-sized copy. Operator outputs pass through it so that relations
+// kept by a bound plan hold no growth slack.
+func exactValues(vals []Value) []Value {
+	if len(vals) == cap(vals) {
+		return vals
+	}
+	out := make([]Value, len(vals))
+	copy(out, vals)
+	return out
 }
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Name, r.arity)
-	out.data = append([]Value(nil), r.data...)
+	if len(r.data) > 0 {
+		out.data = make([]Value, len(r.data))
+		copy(out.data, r.data)
+	}
 	out.nullaryLen = r.nullaryLen
 	return out
 }
 
 // Project returns a new deduplicated relation holding the given columns of
-// every row.
+// every row. The dedup set's arena, which holds exactly the distinct
+// projected rows in first-occurrence order, becomes the output's storage.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
@@ -248,22 +314,23 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 		}
 	}
 	out := NewRelation(name, len(cols))
-	seen := NewTupleSet(r.Len())
+	n := r.Len()
+	if len(cols) == 0 {
+		if n > 0 {
+			out.nullaryLen = 1
+		}
+		return out
+	}
+	seen := NewTupleSetSized(n, n*len(cols))
 	row := make(Tuple, len(cols))
-	for i := 0; i < r.Len(); i++ {
+	for i := 0; i < n; i++ {
 		src := r.Row(i)
 		for j, c := range cols {
 			row[j] = src[c]
 		}
-		if !seen.Insert(row) {
-			continue
-		}
-		if len(cols) == 0 {
-			out.nullaryLen = 1
-			break
-		}
-		out.data = append(out.data, row...)
+		seen.Insert(row)
 	}
+	out.data = exactValues(seen.arena)
 	return out
 }
 
@@ -276,12 +343,14 @@ func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 		}
 		return out
 	}
+	data := make([]Value, 0, len(r.data))
 	for i := 0; i < r.Len(); i++ {
 		row := r.Row(i)
 		if keep(row) {
-			out.data = append(out.data, row...)
+			data = append(data, row...)
 		}
 	}
+	out.data = exactValues(data)
 	return out
 }
 
@@ -292,41 +361,68 @@ func (r *Relation) String() string {
 
 // Index is a hash index on a column subset of a relation. Lookups return
 // row numbers. Keys are interned in a TupleSet, so a lookup hashes the key
-// tuple in place and allocates nothing.
+// tuple in place and allocates nothing; the row lists are in CSR form
+// (see the package comment).
 type Index struct {
 	rel  *Relation
 	cols []int
 	keys *TupleSet
-	// rows[e] lists the rows whose projection is key entry e.
-	rows [][]int32
+	// Key entry e's rows are rows[offs[e]:offs[e+1]], in ascending order;
+	// len(offs) is NumKeys()+1 and len(rows) the relation's row count.
+	offs []int32
+	rows []int32
 }
 
 // BuildIndex indexes the relation on the given columns. The index snapshots
 // row numbers; it must be rebuilt if the relation changes.
+//
+// One pass interns every row's key and records its entry number; a
+// counting pass over those entry numbers then sizes each key's run, and a
+// placement pass fills the runs in row order. The build makes a constant
+// number of allocations whatever the relation's size.
 func (r *Relation) BuildIndex(cols []int) *Index {
-	ix := &Index{rel: r, cols: append([]int(nil), cols...), keys: NewTupleSet(r.Len())}
+	n := r.Len()
+	ix := &Index{rel: r, cols: append([]int(nil), cols...), keys: NewTupleSetSized(n, n*len(cols))}
+	entry := make([]int32, n)
 	key := make(Tuple, len(cols))
-	for i := 0; i < r.Len(); i++ {
+	for i := 0; i < n; i++ {
 		row := r.Row(i)
 		for j, c := range cols {
 			key[j] = row[c]
 		}
-		e, fresh := ix.keys.Add(key)
-		if fresh {
-			ix.rows = append(ix.rows, nil)
-		}
-		ix.rows[e] = append(ix.rows[e], int32(i))
+		e, _ := ix.keys.Add(key)
+		entry[i] = int32(e)
 	}
+	ix.keys.Trim()
+	k := ix.keys.Len()
+	// offs[e+1] counts entry e's rows; the prefix sum turns offs[e] into
+	// the start of e's run, and placing row i at offs[e]++ leaves offs[e]
+	// at the start of run e+1 — shifted back by one at the end.
+	ix.offs = make([]int32, k+1)
+	for _, e := range entry {
+		ix.offs[e+1]++
+	}
+	for e := 1; e <= k; e++ {
+		ix.offs[e] += ix.offs[e-1]
+	}
+	ix.rows = make([]int32, n)
+	for i, e := range entry {
+		ix.rows[ix.offs[e]] = int32(i)
+		ix.offs[e]++
+	}
+	copy(ix.offs[1:], ix.offs[:k])
+	ix.offs[0] = 0
 	return ix
 }
 
-// Lookup returns the row numbers whose indexed columns equal key.
+// Lookup returns the row numbers whose indexed columns equal key, in
+// ascending order, as a read-only view capped at its end.
 func (ix *Index) Lookup(key []Value) []int32 {
 	e := ix.keys.IndexOf(key)
 	if e < 0 {
 		return nil
 	}
-	return ix.rows[e]
+	return ix.RowsAt(e)
 }
 
 // Contains reports whether any row matches key. Every interned key has at
@@ -345,8 +441,12 @@ func (ix *Index) EntryOf(key []Value) int {
 	return ix.keys.IndexOf(key)
 }
 
-// RowsAt returns the row numbers of entry e.
-func (ix *Index) RowsAt(e int) []int32 { return ix.rows[e] }
+// RowsAt returns the row numbers of entry e, in ascending order, as a
+// read-only view capped at its end.
+func (ix *Index) RowsAt(e int) []int32 {
+	lo, hi := ix.offs[e], ix.offs[e+1]
+	return ix.rows[lo:hi:hi]
+}
 
 // Cols returns the indexed columns.
 func (ix *Index) Cols() []int { return ix.cols }
@@ -359,7 +459,7 @@ func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 	}
 	// With no shared columns the key degenerates to the empty tuple and
 	// the semijoin keeps all of r iff s is non-empty, as it should.
-	set := NewTupleSet(s.Len())
+	set := NewTupleSetSized(s.Len(), s.Len()*len(sCols))
 	key := make(Tuple, len(sCols))
 	for i := 0; i < s.Len(); i++ {
 		row := s.Row(i)
@@ -369,6 +469,10 @@ func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 		set.Insert(key)
 	}
 	out := NewRelation(r.Name, r.Arity())
+	var data []Value
+	if r.Arity() > 0 {
+		data = make([]Value, 0, len(r.data))
+	}
 	rkey := make(Tuple, len(rCols))
 	for i := 0; i < r.Len(); i++ {
 		row := r.Row(i)
@@ -379,10 +483,11 @@ func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 			if r.Arity() == 0 {
 				out.nullaryLen++
 			} else {
-				out.data = append(out.data, row...)
+				data = append(data, row...)
 			}
 		}
 	}
+	out.data = exactValues(data)
 	return out
 }
 

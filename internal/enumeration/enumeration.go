@@ -60,6 +60,39 @@ func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Val
 	return buf, n
 }
 
+// RelationIterator enumerates a relation's rows as read-only views into
+// its storage, so a flat slab of answers needs no per-answer tuple.
+type RelationIterator struct {
+	rel *database.Relation
+	pos int
+}
+
+// NewRelationIterator returns an iterator over rel's rows in order.
+func NewRelationIterator(rel *database.Relation) *RelationIterator {
+	return &RelationIterator{rel: rel}
+}
+
+// Next implements Iterator.
+func (s *RelationIterator) Next() (database.Tuple, bool) {
+	if s.pos >= s.rel.Len() {
+		return nil, false
+	}
+	t := s.rel.Row(s.pos)
+	s.pos++
+	return t, true
+}
+
+// NextBatch implements BatchIterator.
+func (s *RelationIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
+	n := 0
+	for n < max && s.pos < s.rel.Len() {
+		buf = append(buf, s.rel.Row(s.pos)...)
+		s.pos++
+		n++
+	}
+	return buf, n
+}
+
 // Closer is an iterator holding releasable resources (worker goroutines,
 // typically). CloseIterator releases any iterator; wrapper iterators
 // (Chain, Cheater, AlgorithmOne) forward Close to their members so a

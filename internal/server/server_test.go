@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // example2 is the paper's tractable union (Example 2).
@@ -98,6 +99,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// waitStreamsIdle waits until no stream holds an admission slot. A client
+// has the trailer in hand before the handler returns, and the handler
+// records its stream counters on the way out, before it releases the slot;
+// tests asserting exact counters wait for the release first.
+func waitStreamsIdle(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.StatsSnapshot().Wire.StreamsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("streams still active after 5s: %d", s.StatsSnapshot().Wire.StreamsActive)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestQueryStreamsAnswers(t *testing.T) {
@@ -245,6 +261,7 @@ func TestStreamingFirstAnswerBeforeCompletion(t *testing.T) {
 	if !tr.Done || tr.Count != side*side {
 		t.Errorf("trailer = %+v", tr)
 	}
+	waitStreamsIdle(t, s)
 	if done := s.stats.streamsCompleted.Load(); done != 1 {
 		t.Errorf("streams completed = %d, want 1", done)
 	}

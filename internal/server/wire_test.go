@@ -345,6 +345,7 @@ func TestWireStatsCounters(t *testing.T) {
 	bin := postAccept(t, ts.URL, wire.MediaTypeBinary, req)
 	readBinaryStream(t, bin)
 
+	waitStreamsIdle(t, s)
 	w := s.StatsSnapshot().Wire
 	if w.NDJSONRequests != 1 || w.BinaryRequests != 1 {
 		t.Fatalf("request counts = %d ndjson / %d binary, want 1/1", w.NDJSONRequests, w.BinaryRequests)

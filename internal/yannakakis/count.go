@@ -47,8 +47,21 @@ func entryOfCols(ix *database.Index, row database.Tuple, cols []int, buf databas
 // child rows joining it (aggregated per index entry, so the pass costs
 // O(rows) per node, not O(join matches)); the answer count is the root
 // rows' weight sum. Counts saturate at countCap rather than overflow, so
-// the result is safe to use directly as a sizing hint.
+// the result is safe to use directly as a sizing hint. The count is
+// computed once per plan and cached.
 func (p *Plan) CountAnswers() int64 {
+	// count holds the answer count + 1, so its zero value means "not yet
+	// counted"; concurrent first calls store the same value.
+	if c := p.count.Load(); c > 0 {
+		return c - 1
+	}
+	n := p.countAnswers()
+	p.count.Store(n + 1)
+	return n
+}
+
+// countAnswers runs the counting pass behind CountAnswers.
+func (p *Plan) countAnswers() int64 {
 	if len(p.order) == 0 {
 		return 0
 	}

@@ -28,7 +28,9 @@
 package yannakakis
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/database"
@@ -55,10 +57,22 @@ type Plan struct {
 	tops []topNode
 	// order is the DFS pre-order over tops used by iterators.
 	order []int
-	// fullIndex[i] indexes top i on all columns, enabling the constant-time
-	// membership test Algorithm 1 relies on ("tested in constant time after
-	// a linear time preprocessing phase").
-	fullIndex []*database.Index
+	// topSet[i] holds top i's rows, enabling the constant-time membership
+	// test Algorithm 1 relies on ("tested in constant time after a linear
+	// time preprocessing phase").
+	topSet []*database.TupleSet
+	// topSPos[i][c] is the position in SVars of top i's column c, and
+	// topHeadPos[i][c] its first position in the head: membership probes
+	// gather each top's key straight from the probed tuple.
+	topSPos, topHeadPos [][]int
+	// headRepeats pairs each repeated head position with the first
+	// position of the same variable; headCoversS reports that every S
+	// variable occurs in the head (else ContainsHead cannot decide).
+	headRepeats [][2]int
+	headCoversS bool
+
+	// count caches CountAnswers (see there).
+	count atomic.Int64
 
 	stats Stats
 }
@@ -107,6 +121,14 @@ type topNode struct {
 // returned when a relation is missing or has the wrong arity, when s
 // contains variables outside the query, or when q is not s-connex.
 func Prepare(q *cq.CQ, inst *database.Instance, s cq.VarSet) (*Plan, error) {
+	return PrepareBound(q, inst, s, nil)
+}
+
+// PrepareBound is Prepare drawing atom bindings from atoms: plans prepared
+// over the same instance with one BoundAtoms filter, project and
+// deduplicate each (relation, repeated-variable pattern) pair once. A nil
+// atoms binds every atom afresh.
+func PrepareBound(q *cq.CQ, inst *database.Instance, s cq.VarSet, atoms *BoundAtoms) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +161,7 @@ func Prepare(q *cq.CQ, inst *database.Instance, s cq.VarSet) (*Plan, error) {
 	// Bind atoms to working relations.
 	nodes := make([]*elimNode, len(q.Atoms))
 	for i, a := range q.Atoms {
-		n, err := bindAtom(a, inst)
+		n, err := atoms.bind(a, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -177,9 +199,57 @@ func (n *elimNode) varSet() cq.VarSet {
 	return cq.NewVarSet(n.vars...)
 }
 
-// bindAtom attaches the atom to its relation, handling repeated variables
-// (rows must agree on repeated positions) and deduplicating.
-func bindAtom(a cq.Atom, inst *database.Instance) (*elimNode, error) {
+// BoundAtoms memoises atom bindings across the plans of one instance.
+// Binding an atom filters its relation on repeated variables, projects it
+// onto the distinct variables and deduplicates it; every plan that binds
+// the same relation with the same repeated-variable pattern receives the
+// same working relation. Plans never mutate working relations (every
+// reduction step builds a new one), so sharing them is safe. A BoundAtoms
+// is not safe for concurrent use.
+type BoundAtoms struct {
+	m map[boundKey]*database.Relation
+}
+
+// boundKey identifies one binding: the relation and, per column, the first
+// column holding the same variable.
+type boundKey struct {
+	rel     *database.Relation
+	pattern string
+}
+
+// NewBoundAtoms returns an empty binding memo.
+func NewBoundAtoms() *BoundAtoms {
+	return &BoundAtoms{m: make(map[boundKey]*database.Relation)}
+}
+
+// AddDistinct records rel as already duplicate-free: an atom over rel with
+// pairwise distinct variables binds to rel itself, without a copy.
+func (b *BoundAtoms) AddDistinct(rel *database.Relation) {
+	b.m[boundKey{rel: rel, pattern: identityPattern(rel.Arity())}] = rel
+}
+
+// identityPattern is the pattern of an atom with distinct variables.
+func identityPattern(arity int) string {
+	firstCol := make([]int, arity)
+	for i := range firstCol {
+		firstCol[i] = i
+	}
+	return encodePattern(firstCol)
+}
+
+// encodePattern packs first-column numbers into a map key.
+func encodePattern(firstCol []int) string {
+	p := make([]byte, 0, len(firstCol))
+	for _, c := range firstCol {
+		p = binary.AppendUvarint(p, uint64(c))
+	}
+	return string(p)
+}
+
+// bind attaches the atom to its relation, handling repeated variables
+// (rows must agree on repeated positions) and deduplicating; with a
+// non-nil memo the working relation is computed once per pattern.
+func (b *BoundAtoms) bind(a cq.Atom, inst *database.Instance) (*elimNode, error) {
 	rel := inst.Relation(a.Rel)
 	if rel == nil {
 		return nil, fmt.Errorf("yannakakis: no relation %q in the instance", a.Rel)
@@ -188,25 +258,33 @@ func bindAtom(a cq.Atom, inst *database.Instance) (*elimNode, error) {
 		return nil, fmt.Errorf("yannakakis: atom %s has arity %d but relation has arity %d",
 			a, len(a.Vars), rel.Arity())
 	}
-	// Distinct variables in first-occurrence order, with their first column.
+	// Distinct variables in first-occurrence order, with their first
+	// column; firstCol[i] is the first column of a.Vars[i]'s variable.
 	var vars []cq.Variable
 	var cols []int
-	firstCol := make(map[cq.Variable]int)
+	firstCol := make([]int, len(a.Vars))
 	selfEqual := false
 	for i, v := range a.Vars {
-		if _, ok := firstCol[v]; ok {
+		firstCol[i] = colIn(a.Vars[:i], v)
+		if firstCol[i] >= 0 {
 			selfEqual = true
 			continue
 		}
-		firstCol[v] = i
+		firstCol[i] = i
 		vars = append(vars, v)
 		cols = append(cols, i)
+	}
+	key := boundKey{rel: rel, pattern: encodePattern(firstCol)}
+	if b != nil {
+		if proj, ok := b.m[key]; ok {
+			return &elimNode{vars: vars, rel: proj, alive: true}, nil
+		}
 	}
 	work := rel
 	if selfEqual {
 		work = rel.Filter(func(t database.Tuple) bool {
-			for i, v := range a.Vars {
-				if t[firstCol[v]] != t[i] {
+			for i, first := range firstCol {
+				if t[first] != t[i] {
 					return false
 				}
 			}
@@ -214,6 +292,9 @@ func bindAtom(a cq.Atom, inst *database.Instance) (*elimNode, error) {
 		})
 	}
 	proj := work.Project(a.Rel, cols)
+	if b != nil {
+		b.m[key] = proj
+	}
 	return &elimNode{vars: vars, rel: proj, alive: true}, nil
 }
 
@@ -430,37 +511,74 @@ func (p *Plan) buildTopTree() error {
 		}
 	}
 
-	// Full-key indexes for Contains.
-	p.fullIndex = make([]*database.Index, len(p.tops))
+	// Row sets and key positions for Contains.
+	p.topSet = make([]*database.TupleSet, len(p.tops))
 	for i := range p.tops {
-		cols := make([]int, p.tops[i].rel.Arity())
-		for c := range cols {
-			cols[c] = c
-		}
-		p.fullIndex[i] = p.tops[i].rel.BuildIndex(cols)
+		p.topSet[i] = p.tops[i].rel.RowSet()
 	}
+	p.prepareMembership()
 	return nil
+}
+
+// prepareMembership precomputes the positions Contains and ContainsHead
+// read each top's key from.
+func (p *Plan) prepareMembership() {
+	sPos := make([]int, len(p.varName))
+	for i, v := range p.SVars {
+		sPos[p.varID[v]] = i
+	}
+	headPos := make([]int, len(p.varName))
+	for i := range headPos {
+		headPos[i] = -1
+	}
+	for i, vid := range p.headIDs {
+		if headPos[vid] >= 0 {
+			p.headRepeats = append(p.headRepeats, [2]int{i, headPos[vid]})
+			continue
+		}
+		headPos[vid] = i
+	}
+	p.headCoversS = true
+	for _, v := range p.SVars {
+		if headPos[p.varID[v]] < 0 {
+			p.headCoversS = false
+		}
+	}
+	p.topSPos = make([][]int, len(p.tops))
+	p.topHeadPos = make([][]int, len(p.tops))
+	for i, t := range p.tops {
+		p.topSPos[i] = make([]int, len(t.varIDs))
+		p.topHeadPos[i] = make([]int, len(t.varIDs))
+		for c, vid := range t.varIDs {
+			p.topSPos[i][c] = sPos[vid]
+			p.topHeadPos[i][c] = headPos[vid]
+		}
+	}
 }
 
 // Contains reports whether the given tuple over Plan.SVars (sorted variable
 // order, as produced by Iterator.STuple) is an answer. It runs in constant
 // time for a fixed query: the tuple is an answer iff each top node contains
-// its projection, since a full S-assignment determines one row per top.
+// its projection, since a full S-assignment determines one row per top. It
+// allocates nothing and is safe for concurrent use.
 func (p *Plan) Contains(t database.Tuple) bool {
 	if len(t) != len(p.SVars) {
 		return false
 	}
-	valueOf := make([]database.Value, len(p.varName))
-	for i, v := range p.SVars {
-		valueOf[p.varID[v]] = t[i]
-	}
-	key := make(database.Tuple, 0, 4)
-	for i := range p.tops {
-		key = key[:0]
-		for _, vid := range p.tops[i].varIDs {
-			key = append(key, valueOf[vid])
+	return p.topsContain(t, p.topSPos)
+}
+
+// topsContain reports whether every top holds the key gathered from t at
+// its positions in pos. The key lives in a stack buffer: cached plans are
+// probed concurrently, so there is no shared scratch.
+func (p *Plan) topsContain(t database.Tuple, pos [][]int) bool {
+	var buf [8]database.Value
+	for i, cols := range pos {
+		key := buf[:0]
+		for _, c := range cols {
+			key = append(key, t[c])
 		}
-		if !p.fullIndex[i].Contains(key) {
+		if !p.topSet[i].Contains(key) {
 			return false
 		}
 	}
@@ -479,32 +597,23 @@ func colIn(vars []cq.Variable, v cq.Variable) int {
 // ContainsHead reports whether the tuple, read positionally against the
 // query head, is an answer. Every head variable must be in S (the usual
 // S = free(Q) case). Tuples assigning different values to repeated head
-// variables are never answers.
+// variables are never answers. Like Contains, it allocates nothing and is
+// safe for concurrent use.
 func (p *Plan) ContainsHead(t database.Tuple) bool {
 	if len(t) != len(p.Q.Head) {
 		return false
 	}
-	s := make(map[cq.Variable]database.Value, len(t))
-	for i, v := range p.Q.Head {
-		if prev, ok := s[v]; ok {
-			if prev != t[i] {
-				return false
-			}
-			continue
-		}
-		s[v] = t[i]
-	}
-	st := make(database.Tuple, len(p.SVars))
-	for i, v := range p.SVars {
-		val, ok := s[v]
-		if !ok {
-			// An S variable outside the head: membership is not decidable
-			// from the head tuple alone; treat as non-member defensively.
+	for _, r := range p.headRepeats {
+		if t[r[0]] != t[r[1]] {
 			return false
 		}
-		st[i] = val
 	}
-	return p.Contains(st)
+	if !p.headCoversS {
+		// An S variable outside the head: membership is not decidable
+		// from the head tuple alone; treat as non-member defensively.
+		return false
+	}
+	return p.topsContain(t, p.topHeadPos)
 }
 
 // VarID returns the plan-internal id of a variable, or -1.
